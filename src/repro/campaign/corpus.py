@@ -169,8 +169,8 @@ class CorpusEntry:
 class CorpusStore:
     """Fingerprint-deduped, write-through on-disk corpus of attack traces.
 
-    Thread-safe: the campaign scheduler harvests from several scenario
-    threads at once.  Entry payloads are loaded lazily and memoized, so
+    Thread-safe, so readers on other threads (the dashboard) see whole
+    entries.  Entry payloads are loaded lazily and memoized, so
     replaying a large corpus reads each trace file exactly once.
     """
 

@@ -1,26 +1,22 @@
-"""Campaign execution: run every scenario over one shared evaluation pool.
+"""Campaign execution: run every scenario, one after another, over one pool.
 
 The runner expands a :class:`CampaignSpec` into its scenario matrix and
 drives each scenario's :class:`CCFuzz` search with
 
 * **one shared** :class:`EvaluationBackend` — a process pool is created once
   and reused by every scenario instead of being torn down per run, and
-* **one shared, thread-safe** :class:`TraceCache` — a trace already scored
-  against a CCA/config in one scenario is never re-simulated by another.
-
-With ``max_parallel > 1`` scenarios run on coordinator threads that submit
-their generation batches to the shared pool concurrently, so the pool keeps
-working while any one scenario does its (cheap, GIL-bound) GA bookkeeping —
-the worker processes never idle between scenarios.
+* **one shared** :class:`TraceCache` — a trace already scored against a
+  CCA/config in one scenario is never re-simulated by another.
 
 Each scenario is seeded from the corpus (curated builtin attacks plus the
 best traces earlier scenarios discovered — e.g. winners against Reno seeding
 the CUBIC and BBR searches) and its top-k survivors are harvested back into
-the corpus with full provenance.  Individual scenario results are
-deterministic functions of the injected seeds: serial campaigns (the
-default) are fully reproducible end to end, while parallel campaigns draw
-seeds from the corpus snapshot taken at launch so the schedule's
-interleaving cannot change what any scenario sees.
+the corpus with full provenance.  Scenario results are deterministic
+functions of the injected seeds, so a campaign is reproducible end to end.
+To run scenarios concurrently, use the worker fleet
+(:mod:`repro.campaign.worker`, ``repro-campaign workers -n N``); it shares
+this module's scenario body (:func:`run_scenario_search`,
+:func:`harvest_candidates`, :func:`append_generation`).
 
 Durability
 ----------
@@ -28,12 +24,12 @@ Unless journaling is disabled, every run appends its progress to an
 append-only :class:`~repro.journal.CampaignJournal` next to the corpus
 (``journal.jsonl``): the campaign spec and archive baseline at start, one
 lease per scenario, one fuzzer checkpoint plus behavior-map delta per
-evaluated generation (serial campaigns), a write-ahead record for every
-corpus insert, and one completion record per scenario.  :meth:`resume`
-replays that log after a crash and continues mid-campaign; for serial
-campaigns the resumed run's corpus, behavior map and summary digest are
-bit-identical to an uninterrupted run with the same seed (the crash-recovery
-harness in ``tests/crashsim.py`` enforces this under SIGKILL).
+evaluated generation, a write-ahead record for every corpus insert, and one
+completion record per scenario.  :meth:`CampaignRunner.resume` replays that
+log after a crash and continues mid-campaign; the resumed run's corpus,
+behavior map and summary digest are bit-identical to an uninterrupted run
+with the same seed (the crash-recovery harness in ``tests/crashsim.py``
+enforces this under SIGKILL).
 """
 
 from __future__ import annotations
@@ -42,12 +38,12 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from threading import RLock
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.fuzzer import CCFuzz
+from ..core.results import FuzzResult
 from ..coverage.archive import BehaviorArchive
 from ..exec.backend import EvaluationBackend, create_backend
 from ..exec.cache import TraceCache
@@ -137,6 +133,23 @@ class ScenarioOutcome:
             behavior_cells=int(payload.get("behavior_cells", 0)),
         )
 
+    @classmethod
+    def from_result(
+        cls, scenario: Scenario, result: FuzzResult, new_entries: int, wall_time_s: float
+    ) -> "ScenarioOutcome":
+        return cls(
+            scenario=scenario,
+            best_fitness=result.best_fitness,
+            best_fingerprint=result.best_trace.fingerprint(),
+            evaluations=result.total_evaluations,
+            cache_hits=result.cache_hits,
+            seeds_injected=len(result.seed_fingerprints),
+            new_corpus_entries=new_entries,
+            converged_generation=result.converged_generation,
+            wall_time_s=wall_time_s,
+            behavior_cells=result.behavior_cells,
+        )
+
 
 @dataclass
 class CampaignResult:
@@ -183,6 +196,144 @@ class CampaignResult:
         }
 
 
+# ---------------------------------------------------------------------- #
+# The scenario body shared by CampaignRunner and the fleet's FleetWorker
+# ---------------------------------------------------------------------- #
+
+
+def campaign_backend(
+    spec: CampaignSpec,
+    injected: Optional[EvaluationBackend],
+    quarantine: QuarantineStore,
+) -> Tuple[EvaluationBackend, bool]:
+    """The backend a campaign evaluates on, and whether the caller owns it.
+
+    An injected backend keeps its own timeout/retry policy, but a campaign
+    always contributes its quarantine store so refusals persist and replay,
+    unless the caller installed one themselves.
+    """
+    if injected is not None:
+        if injected.policy.quarantine is None:
+            injected.policy.quarantine = quarantine
+        return injected, False
+    policy = FaultPolicy(
+        job_timeout=spec.job_timeout, max_retries=spec.max_retries, quarantine=quarantine
+    )
+    return create_backend(spec.backend, spec.workers, policy=policy), True
+
+
+def run_scenario_search(
+    scenario: Scenario,
+    *,
+    backend: EvaluationBackend,
+    cache: TraceCache,
+    archive: BehaviorArchive,
+    seeds: List[PacketTrace],
+    telemetry: CampaignTelemetry,
+    checkpoint: Optional[Callable[[Dict[str, Any]], None]],
+    resume_from: Optional[Dict[str, Any]],
+    harvest: Callable[[FuzzResult], int],
+) -> ScenarioOutcome:
+    """Run one scenario's GA search, harvest it, and return its outcome.
+
+    ``harvest(result)`` stores the survivors wherever the caller keeps its
+    corpus and returns how many were new.
+    """
+    started = time.perf_counter()
+    fuzzer = CCFuzz(
+        cca_factory(scenario.cca),
+        config=scenario.fuzz_config(),
+        score_function=make_score_function(scenario.objective, scenario.mode),
+        seed_traces=seeds,
+        backend=backend,
+        cache=cache,
+        archive=archive,
+    )
+    with telemetry.scenario_span(scenario):
+        result = fuzzer.run(
+            progress=lambda stats: telemetry.generation(scenario, stats),
+            checkpoint=checkpoint,
+            resume_from=resume_from,
+        )
+        new_entries = harvest(result)
+    return ScenarioOutcome.from_result(
+        scenario, result, new_entries, time.perf_counter() - started
+    )
+
+
+def harvest_candidates(
+    result: FuzzResult, scenario: Scenario, campaign: str, top_k: int
+) -> Iterator[Tuple[PacketTrace, str, Dict[str, Any]]]:
+    """The scenario's deduplicated, evaluated top-k survivors.
+
+    Yields ``(trace, fingerprint, provenance)``; ``provenance`` holds the
+    :data:`_INSERT_KWARGS` a corpus insert records for it.
+    """
+    harvested: set = set()
+    for individual in result.top_individuals(top_k):
+        if not individual.is_evaluated:
+            continue
+        fingerprint = individual.trace.fingerprint()
+        if fingerprint in harvested:
+            continue
+        harvested.add(fingerprint)
+        behavior = individual.result_summary.get("behavior_signature")
+        yield individual.trace, fingerprint, {
+            "scenario_id": scenario.scenario_id,
+            "cca": scenario.cca,
+            "objective": scenario.objective,
+            "score": individual.fitness,
+            "generation_found": individual.generation_born,
+            "origin": "fuzz",
+            "campaign": campaign,
+            "condition": scenario.condition.to_dict(),
+            "behavior": dict(behavior) if isinstance(behavior, dict) else None,
+        }
+
+
+def append_generation(
+    journal: CampaignJournal,
+    scenario_id: str,
+    state: Dict[str, Any],
+    archive: BehaviorArchive,
+    cell_index: Dict[str, str],
+    cache: TraceCache,
+    stamp: Optional[Dict[str, Any]] = None,
+) -> Dict[str, str]:
+    """Journal one evaluated generation; returns the archive's new cell index.
+
+    Appends the behavior-map delta *first*, then the fuzzer checkpoint (with
+    a cache dump): resume trusts the checkpoint and applies deltas only up
+    to its generation, so a kill between the two appends cannot leave the
+    archive ahead of (or behind) the GA state.  ``stamp`` (a fleet worker's
+    ``lease_epoch`` and ``worker``) rides in both records.
+    """
+    stamp = stamp or {}
+    changed, cell_index = archive.delta_since(cell_index)
+    generation = state["generation"]
+    journal.append(
+        "behavior_delta",
+        {
+            "scenario_id": scenario_id,
+            "generation": generation,
+            "cells": changed,
+            "counters": archive.counters(),
+            **stamp,
+        },
+    )
+    journal.append(
+        "generation_checkpoint",
+        {
+            "scenario_id": scenario_id,
+            "generation": generation,
+            "fuzzer": state,
+            "cache": cache.dump(),
+            **stamp,
+        },
+    )
+    return cell_index
+
+
 class CampaignRunner:
     """Plans, schedules and records a whole campaign of fuzzing runs."""
 
@@ -194,30 +345,19 @@ class CampaignRunner:
         backend: Optional[EvaluationBackend] = None,
         cache: Optional[TraceCache] = None,
         archive: Optional[BehaviorArchive] = None,
-        max_parallel: int = 1,
         register_attacks: bool = True,
         harvest_top_k: int = 3,
         progress: Optional[ProgressCallback] = None,
         journal: Union[CampaignJournal, bool] = True,
         telemetry: Union[CampaignTelemetry, bool] = True,
     ) -> None:
-        if max_parallel < 1:
-            raise ValueError("max_parallel must be at least 1")
         if harvest_top_k < 1:
             raise ValueError("harvest_top_k must be at least 1")
-        if max_parallel > 1 and cache is not None and not cache.thread_safe:
-            raise ValueError(
-                "an injected cache must be TraceCache(thread_safe=True) when "
-                "max_parallel > 1 (scenario threads share it)"
-            )
         self.spec = spec
         self.corpus = corpus
         # One behavior archive spans the whole campaign; a pre-existing
         # behavior_map.json next to the corpus is resumed so coverage
-        # accumulates across campaigns like the corpus itself does.  Serial
-        # campaigns thread it straight through every scenario; parallel
-        # campaigns give each scenario a private archive and merge afterwards
-        # (see run()), keeping results independent of thread interleaving.
+        # accumulates across campaigns like the corpus itself does.
         if archive is not None:
             self.archive = archive
         else:
@@ -225,7 +365,6 @@ class CampaignRunner:
             self.archive = (
                 BehaviorArchive.load(map_path) if os.path.exists(map_path) else BehaviorArchive()
             )
-        self.max_parallel = max_parallel
         self.register_attacks = register_attacks
         self.harvest_top_k = harvest_top_k
         self._progress = progress or (lambda message: None)
@@ -275,7 +414,6 @@ class CampaignRunner:
         self._resume_completed: Dict[str, Dict[str, Any]] = {}
         self._resume_inflight: Dict[str, Dict[str, Any]] = {}
         self._resume_cache_state: Optional[Dict[str, Any]] = None
-        self._parallel_baseline: Optional[BehaviorArchive] = None
 
     # ------------------------------------------------------------------ #
     # Resume
@@ -288,7 +426,6 @@ class CampaignRunner:
         *,
         backend: Optional[EvaluationBackend] = None,
         cache: Optional[TraceCache] = None,
-        max_parallel: int = 1,
         progress: Optional[ProgressCallback] = None,
         telemetry: Union[CampaignTelemetry, bool] = True,
     ) -> "CampaignRunner":
@@ -298,11 +435,14 @@ class CampaignRunner:
         rebuilds: the spec and knobs from the start record, the corpus (the
         insert WAL is re-applied idempotently, repairing writes the crash cut
         off), the behavior archive (baseline + journaled deltas), every
-        completed scenario's outcome, and — for a serial campaign — the
-        in-flight scenario's full GA state from its latest generation
-        checkpoint, including the RNG and the shared evaluation cache.  The
-        returned runner's :meth:`run` picks up exactly where the dead process
-        stopped.
+        completed scenario's outcome, and the in-flight scenario's full GA
+        state from its latest generation checkpoint, including the RNG and
+        the shared evaluation cache.  The returned runner's :meth:`run` picks
+        up exactly where the dead process stopped.
+
+        Raises ``ValueError`` for a journal this runner cannot continue
+        bit-identically: one written by a fleet or by the removed threaded
+        mode (``max_parallel > 1``).
         """
         journal = CampaignJournal(CampaignJournal.corpus_path(corpus_dir))
         view = journal.replay()
@@ -311,6 +451,12 @@ class CampaignRunner:
                 f"nothing to resume: no campaign journal under {corpus_dir!r}"
             )
         start = view.campaign
+        if int(start.get("max_parallel", 1)) > 1 or "fleet" in start:
+            raise ValueError(
+                f"the campaign journal under {corpus_dir!r} was written by parallel "
+                "scenario workers and cannot be resumed serially; resume it with "
+                "`repro-campaign workers`"
+            )
         spec = CampaignSpec.from_dict(start["spec"])
         corpus = CorpusStore(str(corpus_dir))
         runner = cls(
@@ -319,41 +465,32 @@ class CampaignRunner:
             backend=backend,
             cache=cache,
             archive=BehaviorArchive.from_dict(start["archive_baseline"]),
-            max_parallel=max_parallel,
             register_attacks=bool(start.get("register_attacks", True)),
             harvest_top_k=int(start.get("harvest_top_k", 3)),
             progress=progress,
             journal=journal,
             telemetry=telemetry,
         )
-        runner._prepare_resume(view, start)
+        runner._prepare_resume(view)
         return runner
 
-    def _prepare_resume(self, view: JournalView, start: Dict[str, Any]) -> None:
+    def _prepare_resume(self, view: JournalView) -> None:
         self._resuming = True
         self._resume_completed = dict(view.completed)
         self._resume_inflight = view.pending_checkpoints()
         self._resume_cache_state = view.cache_state
-        # 1. Corpus repair: re-apply the insert WAL in journal order.  Every
-        #    apply is idempotent, so events whose corpus write survived the
-        #    crash are no-ops and the one the crash cut off is completed.
-        for data in view.inserts:
-            self._apply_insert_event(data)
-        self._journaled_inserts = {
-            scenario_key: dict(by_fingerprint)
-            for scenario_key, by_fingerprint in view.inserts_by_scenario.items()
-        }
+        self._replay_inserts(view)
         # Quarantine repair mirrors the corpus WAL: re-apply journaled
         # ``job_quarantined`` events idempotently, completing any
         # quarantine.json write the crash cut off mid-flight.
         for entry in view.quarantined:
             self.quarantine.apply_event(entry)
-        # 2. Behavior archive: the constructor seeded ``self.archive`` with
-        #    the journaled baseline; fold the deltas back in.  The in-flight
-        #    scenario's deltas apply only up to its checkpoint generation
-        #    (deltas are journaled *before* their checkpoint, so a trailing
-        #    one may describe a generation the resumed search re-evaluates);
-        #    scenarios restarting from scratch contribute nothing.
+        # Behavior archive: the constructor seeded ``self.archive`` with the
+        # journaled baseline; fold the deltas back in.  The in-flight
+        # scenario's deltas apply only up to its checkpoint generation
+        # (deltas are journaled *before* their checkpoint, so a trailing one
+        # may describe a generation the resumed search re-evaluates);
+        # scenarios restarting from scratch contribute nothing.
         limits = {
             scenario_id: checkpoint["generation"]
             for scenario_id, checkpoint in self._resume_inflight.items()
@@ -363,21 +500,33 @@ class CampaignRunner:
                 limits[scenario_id] = -1
         cells, counters = view.behavior_state(generation_limits=limits)
         self.archive.apply_delta(cells, counters)
-        # 3. Parallel campaigns checkpoint no generations; their completed
-        #    scenarios carry private-archive snapshots instead, merged here
-        #    exactly the way an uninterrupted run's finally-block would.
-        self._parallel_baseline = BehaviorArchive.from_dict(start["archive_baseline"])
-        for scenario in self.spec.expand():
-            payload = view.completed.get(scenario.scenario_id)
-            if payload is not None and payload.get("archive") is not None:
-                self.archive.merge(
-                    BehaviorArchive.from_dict(payload["archive"]),
-                    baseline=self._parallel_baseline,
-                )
+
+    def _replay_inserts(self, view: JournalView) -> None:
+        """Corpus repair: re-apply the insert WAL in journal order.
+
+        Every apply is idempotent, so events whose corpus write survived the
+        crash are no-ops and the one the crash cut off is completed.
+        """
+        for data in view.inserts:
+            self._apply_insert_event(data)
+        self._journaled_inserts = {
+            scenario_key: dict(by_fingerprint)
+            for scenario_key, by_fingerprint in view.inserts_by_scenario.items()
+        }
 
     # ------------------------------------------------------------------ #
     # Corpus bootstrap
     # ------------------------------------------------------------------ #
+
+    def _start_record(self) -> Dict[str, Any]:
+        """The ``campaign_start`` payload: everything resume rebuilds from."""
+        return {
+            "campaign": self.spec.name,
+            "spec": self.spec.to_dict(),
+            "harvest_top_k": self.harvest_top_k,
+            "register_attacks": self.register_attacks,
+            "archive_baseline": self.archive.to_dict(),
+        }
 
     def _register_builtin_attacks(self) -> int:
         """Insert the hand-crafted attack library as curated corpus entries."""
@@ -466,134 +615,65 @@ class CampaignRunner:
     # Scenario execution
     # ------------------------------------------------------------------ #
 
-    def _make_checkpoint(
-        self, scenario: Scenario, cache: Optional[TraceCache]
-    ) -> Optional[Callable[[Dict[str, Any]], None]]:
-        """Per-generation journal hook (serial campaigns only).
-
-        Appends the behavior-map delta *first*, then the fuzzer checkpoint
-        (with a cache dump): resume trusts the checkpoint and applies deltas
-        only up to its generation, so a kill between the two appends cannot
-        leave the archive ahead of (or behind) the GA state.
-        """
-        journal = self._journal
-        if journal is None or self.max_parallel != 1:
-            return None
-
-        def checkpoint(state: Dict[str, Any]) -> None:
-            changed, self._cell_index = self.archive.delta_since(self._cell_index)
-            journal.append(
-                "behavior_delta",
-                {
-                    "scenario_id": scenario.scenario_id,
-                    "generation": state["generation"],
-                    "cells": changed,
-                    "counters": self.archive.counters(),
-                },
-            )
-            payload: Dict[str, Any] = {
-                "scenario_id": scenario.scenario_id,
-                "generation": state["generation"],
-                "fuzzer": state,
-            }
-            if cache is not None:
-                payload["cache"] = cache.dump()
-            journal.append("generation_checkpoint", payload)
-
-        return checkpoint
-
     def _run_scenario(
         self,
         scenario: Scenario,
         backend: EvaluationBackend,
-        cache: Optional[TraceCache],
-        seeds: List[PacketTrace],
-        archive: BehaviorArchive,
-        resume_state: Optional[Dict[str, Any]] = None,
+        cache: TraceCache,
+        resume_state: Optional[Dict[str, Any]],
     ) -> ScenarioOutcome:
-        started = time.perf_counter()
+        scenario_id = scenario.scenario_id
         journal = self._journal
-        parallel = self.max_parallel > 1
-        if not parallel:
-            # Serial campaigns stamp scenario provenance into new quarantine
-            # entries.  Parallel campaigns interleave scenarios on one shared
-            # store, so entries stay unstamped rather than mis-stamped.
-            self.quarantine.context = {"scenario_id": scenario.scenario_id}
+        self.quarantine.context = {"scenario_id": scenario_id}
+        checkpoint: Optional[Callable[[Dict[str, Any]], None]] = None
         if journal is not None:
             journal.append(
                 "scenario_lease",
-                {
-                    "scenario_id": scenario.scenario_id,
-                    "seed": scenario.seed,
-                    "campaign": self.spec.name,
-                },
+                {"scenario_id": scenario_id, "seed": scenario.seed, "campaign": self.spec.name},
             )
-        fuzzer = CCFuzz(
-            cca_factory(scenario.cca),
-            config=scenario.fuzz_config(),
-            score_function=make_score_function(scenario.objective, scenario.mode),
-            seed_traces=seeds,
+
+            def journal_generation(state: Dict[str, Any]) -> None:
+                self._cell_index = append_generation(
+                    journal, scenario_id, state, self.archive, self._cell_index, cache
+                )
+
+            checkpoint = journal_generation
+
+        def harvest(result: FuzzResult) -> int:
+            candidates = harvest_candidates(
+                result, scenario, self.spec.name, self.harvest_top_k
+            )
+            return sum(
+                self._journaled_add(trace, scenario_id, **provenance)
+                for trace, _, provenance in candidates
+            )
+
+        outcome = run_scenario_search(
+            scenario,
             backend=backend,
             cache=cache,
-            archive=archive,
-        )
-        with self._telemetry.scenario_span(scenario):
-            result = fuzzer.run(
-                progress=lambda stats: self._telemetry.generation(scenario, stats),
-                checkpoint=self._make_checkpoint(scenario, cache),
-                resume_from=resume_state["fuzzer"] if resume_state is not None else None,
-            )
-            new_entries = 0
-            harvested: set = set()
-            for individual in result.top_individuals(self.harvest_top_k):
-                if not individual.is_evaluated:
-                    continue
-                fingerprint = individual.trace.fingerprint()
-                if fingerprint in harvested:
-                    continue
-                harvested.add(fingerprint)
-                behavior = individual.result_summary.get("behavior_signature")
-                new_entries += self._journaled_add(
-                    individual.trace,
-                    scenario.scenario_id,
-                    scenario_id=scenario.scenario_id,
-                    cca=scenario.cca,
-                    objective=scenario.objective,
-                    score=individual.fitness,
-                    generation_found=individual.generation_born,
-                    origin="fuzz",
-                    campaign=self.spec.name,
-                    condition=scenario.condition.to_dict(),
-                    behavior=dict(behavior) if isinstance(behavior, dict) else None,
-                )
-        outcome = ScenarioOutcome(
-            scenario=scenario,
-            best_fitness=result.best_fitness,
-            best_fingerprint=result.best_trace.fingerprint(),
-            evaluations=result.total_evaluations,
-            cache_hits=result.cache_hits,
-            seeds_injected=len(result.seed_fingerprints),
-            new_corpus_entries=new_entries,
-            converged_generation=result.converged_generation,
-            wall_time_s=time.perf_counter() - started,
-            behavior_cells=result.behavior_cells,
+            archive=self.archive,
+            # A checkpointed scenario restores its population (seeds
+            # included) from the snapshot; only fresh starts draw seeds from
+            # the corpus.
+            seeds=[] if resume_state is not None else self._scenario_seeds(scenario),
+            telemetry=self._telemetry,
+            checkpoint=checkpoint,
+            resume_from=resume_state["fuzzer"] if resume_state is not None else None,
+            harvest=harvest,
         )
         if journal is not None:
-            payload: Dict[str, Any] = {
-                "scenario_id": scenario.scenario_id,
-                "outcome": outcome.to_journal_dict(),
-            }
-            if parallel:
-                # Parallel scenarios mutate a private archive; its snapshot
-                # rides in the completion record so resume can merge it the
-                # way run()'s finally-block does.
-                payload["archive"] = archive.to_dict()
-            elif cache is not None:
-                payload["cache"] = cache.dump()
-            journal.append("scenario_complete", payload)
+            journal.append(
+                "scenario_complete",
+                {
+                    "scenario_id": scenario_id,
+                    "outcome": outcome.to_journal_dict(),
+                    "cache": cache.dump(),
+                },
+            )
         self._telemetry.scenario_completed(outcome)
         self._progress(
-            f"[{scenario.scenario_id}] best={outcome.best_fitness:.4f} "
+            f"[{scenario_id}] best={outcome.best_fitness:.4f} "
             f"evals={outcome.evaluations} hits={outcome.cache_hits} "
             f"seeds={outcome.seeds_injected} new={outcome.new_corpus_entries} "
             f"cells={outcome.behavior_cells} ({outcome.wall_time_s:.1f}s)"
@@ -659,17 +739,7 @@ class CampaignRunner:
                 # *different* campaign over this corpus; archive it so this
                 # run's log replays standalone.
                 journal.rotate()
-                journal.append(
-                    "campaign_start",
-                    {
-                        "campaign": self.spec.name,
-                        "spec": self.spec.to_dict(),
-                        "harvest_top_k": self.harvest_top_k,
-                        "register_attacks": self.register_attacks,
-                        "max_parallel": self.max_parallel,
-                        "archive_baseline": self.archive.to_dict(),
-                    },
-                )
+                journal.append("campaign_start", self._start_record())
             if self.register_attacks:
                 attacks_registered = self._register_builtin_attacks()
                 self._progress(f"registered {attacks_registered} builtin attack traces")
@@ -677,24 +747,9 @@ class CampaignRunner:
             self.spec, resumed=self._resuming, completed=self._resume_completed
         )
 
-        if self._injected_backend is not None:
-            backend = self._injected_backend
-            # An injected backend keeps its own timeout/retry policy, but a
-            # campaign always contributes its quarantine store so refusals
-            # persist and replay, unless the caller installed one themselves.
-            if backend.policy.quarantine is None:
-                backend.policy.quarantine = self.quarantine
-        else:
-            backend = create_backend(
-                self.spec.backend,
-                self.spec.workers,
-                policy=FaultPolicy(
-                    job_timeout=self.spec.job_timeout,
-                    max_retries=self.spec.max_retries,
-                    quarantine=self.quarantine,
-                ),
-            )
-        owns_backend = self._injected_backend is None
+        backend, owns_backend = campaign_backend(
+            self.spec, self._injected_backend, self.quarantine
+        )
         cache = self._injected_cache
         if cache is None:
             population = self.spec.budget.population_size * self.spec.budget.islands
@@ -702,7 +757,7 @@ class CampaignRunner:
                 max_entries=max(8192, 8 * population * len(scenarios)),
                 thread_safe=True,
             )
-        if self._resume_cache_state is not None and cache is not None:
+        if self._resume_cache_state is not None:
             try:
                 cache.restore(self._resume_cache_state)
             except ValueError:
@@ -711,87 +766,34 @@ class CampaignRunner:
                 self._progress("journaled cache dump is stale; resuming with a cold cache")
         _, self._cell_index = self.archive.delta_since({})
 
-        outcome_by_id: Dict[str, ScenarioOutcome] = {}
-        pending: List[Scenario] = []
-        for scenario in scenarios:
-            completed = self._resume_completed.get(scenario.scenario_id)
-            if completed is not None:
-                outcome_by_id[scenario.scenario_id] = ScenarioOutcome.from_journal_dict(
-                    scenario, completed["outcome"]
-                )
-                self._progress(f"[{scenario.scenario_id}] already complete (journal)")
-            else:
-                pending.append(scenario)
-        scenario_archives: List[BehaviorArchive] = []
-        archive_baseline: Optional[BehaviorArchive] = None
+        outcomes: List[ScenarioOutcome] = []
         try:
-            if self.max_parallel == 1:
-                # Serial: later scenarios see (and are seeded by) everything
-                # earlier scenarios put into the corpus — and, with coverage
-                # guidance, every cell earlier scenarios opened in the shared
-                # archive.
-                for scenario in pending:
-                    resume_state = self._resume_inflight.get(scenario.scenario_id)
-                    # A checkpointed scenario restores its population (seeds
-                    # included) from the snapshot; only fresh starts draw
-                    # seeds from the corpus.
-                    seeds = [] if resume_state is not None else self._scenario_seeds(scenario)
-                    outcome_by_id[scenario.scenario_id] = self._run_scenario(
-                        scenario, backend, cache, seeds, self.archive,
-                        resume_state=resume_state,
+            # Later scenarios see (and are seeded by) everything earlier
+            # scenarios put into the corpus — and, with coverage guidance,
+            # every cell earlier scenarios opened in the shared archive.
+            for scenario in scenarios:
+                completed = self._resume_completed.get(scenario.scenario_id)
+                if completed is not None:
+                    outcomes.append(
+                        ScenarioOutcome.from_journal_dict(scenario, completed["outcome"])
                     )
-            else:
-                # Parallel: seeds come from the corpus snapshot at launch so
-                # thread interleaving cannot change any scenario's inputs.
-                # Each scenario likewise runs on its *own* snapshot of the
-                # campaign archive (novelty/elites guidance read the archive
-                # during selection, so a concurrently-mutated shared archive
-                # would make results depend on thread interleaving); the
-                # snapshots are merged back baseline-aware in matrix order.
-                # A resumed parallel campaign snapshots the *journaled*
-                # baseline, so pending scenarios start from the same archive
-                # they would have seen uninterrupted.
-                seed_snapshot = [self._scenario_seeds(scenario) for scenario in pending]
-                archive_baseline = (
-                    self._parallel_baseline.snapshot()
-                    if self._parallel_baseline is not None and self._resuming
-                    else self.archive.snapshot()
+                    self._progress(f"[{scenario.scenario_id}] already complete (journal)")
+                    continue
+                outcomes.append(
+                    self._run_scenario(
+                        scenario, backend, cache,
+                        self._resume_inflight.get(scenario.scenario_id),
+                    )
                 )
-                scenario_archives = [archive_baseline.snapshot() for _ in pending]
-                with ThreadPoolExecutor(
-                    max_workers=min(self.max_parallel, max(1, len(pending))),
-                    thread_name_prefix="repro-campaign",
-                ) as pool:
-                    for scenario, outcome in zip(
-                        pending,
-                        pool.map(
-                            lambda args: self._run_scenario(*args),
-                            (
-                                (scenario, backend, cache, seeds, archive)
-                                for scenario, seeds, archive in zip(
-                                    pending, seed_snapshot, scenario_archives
-                                )
-                            ),
-                        ),
-                    ):
-                        outcome_by_id[scenario.scenario_id] = outcome
         finally:
             if owns_backend:
                 backend.close()
-            # Merge and persist the behavior map even if a scenario failed
-            # mid-campaign: completed scenarios already wrote their corpus
-            # entries (and mutated their archives in place), and the coverage
-            # CLI and future campaigns resume the map from here.
-            for archive in scenario_archives:
-                self.archive.merge(archive, baseline=archive_baseline)
+            # Persist the behavior map even if a scenario failed mid-campaign:
+            # completed scenarios already wrote their corpus entries, and the
+            # coverage CLI and future campaigns resume the map from here.
             self.archive.save(BehaviorArchive.corpus_path(self.corpus.path))
             if journal is not None:
                 journal.close()
-        outcomes = [
-            outcome_by_id[scenario.scenario_id]
-            for scenario in scenarios
-            if scenario.scenario_id in outcome_by_id
-        ]
         result = CampaignResult(
             spec=self.spec,
             outcomes=outcomes,

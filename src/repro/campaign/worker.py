@@ -47,18 +47,23 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..core.fuzzer import CCFuzz
+from ..core.results import FuzzResult
 from ..coverage.archive import BehaviorArchive
-from ..exec.backend import EvaluationBackend, create_backend
+from ..exec.backend import EvaluationBackend
 from ..exec.cache import TraceCache
-from ..exec.faults import FaultPolicy
 from ..exec.quarantine import QuarantineStore
 from ..journal import CampaignJournal, JournalView
 from ..obs.telemetry import CampaignTelemetry
-from ..scoring.objectives import make_score_function
-from ..tcp.cca import cca_factory
 from .corpus import CorpusStore
-from .scheduler import CampaignResult, CampaignRunner, ScenarioOutcome
+from .scheduler import (
+    CampaignResult,
+    CampaignRunner,
+    ScenarioOutcome,
+    append_generation,
+    campaign_backend,
+    harvest_candidates,
+    run_scenario_search,
+)
 from .spec import CampaignSpec, Scenario
 
 ProgressCallback = Callable[[str], None]
@@ -174,21 +179,7 @@ class FleetWorker:
         telemetry = CampaignTelemetry(
             self.corpus_dir, enabled=self._telemetry_enabled, worker_id=self.worker_id
         )
-        if self._injected_backend is not None:
-            backend = self._injected_backend
-            if backend.policy.quarantine is None:
-                backend.policy.quarantine = self.quarantine
-        else:
-            backend = create_backend(
-                spec.backend,
-                spec.workers,
-                policy=FaultPolicy(
-                    job_timeout=spec.job_timeout,
-                    max_retries=spec.max_retries,
-                    quarantine=self.quarantine,
-                ),
-            )
-        owns_backend = self._injected_backend is None
+        backend, owns_backend = campaign_backend(spec, self._injected_backend, self.quarantine)
         scenarios = spec.expand()
         try:
             while True:
@@ -242,10 +233,8 @@ class FleetWorker:
     # ------------------------------------------------------------------ #
 
     def _seed_traces(self, plan: Dict[str, Any], scenario: Scenario) -> List[Any]:
-        seeds = []
-        for fingerprint in plan.get("seeds", {}).get(scenario.scenario_id, []):
-            seeds.append(self.corpus.get(fingerprint).trace.copy())
-        return seeds
+        fingerprints = plan.get("seeds", {}).get(scenario.scenario_id, [])
+        return [self.corpus.get(fingerprint).trace.copy() for fingerprint in fingerprints]
 
     def _run_scenario(
         self,
@@ -259,19 +248,13 @@ class FleetWorker:
         backend: EvaluationBackend,
         telemetry: CampaignTelemetry,
     ) -> None:
-        started = time.perf_counter()
         scenario_id = scenario.scenario_id
         epoch = lease.get("lease_epoch", 0)
-        # Full fleet provenance on every quarantine entry this scenario
-        # produces — and the epoch fences the journal event on lease steals.
-        self.quarantine.context = {
-            "scenario_id": scenario_id,
-            "lease_epoch": epoch,
-            "worker": self.worker_id,
-        }
+        # Every record this scenario journals carries the lease epoch, which
+        # fences it on lease steals, and the worker id for provenance.
+        stamp = {"lease_epoch": epoch, "worker": self.worker_id}
+        self.quarantine.context = {"scenario_id": scenario_id, **stamp}
         checkpoint = view.checkpoints.get(scenario_id)
-        resume_state = checkpoint["fuzzer"] if checkpoint is not None else None
-        stolen = checkpoint is not None
         # Private, per-scenario evaluation cache: cold on a fresh claim,
         # restored from the checkpoint dump on a steal — either way its hit
         # counts match an uninterrupted run's, keeping the digest identical.
@@ -291,38 +274,16 @@ class FleetWorker:
             checkpoint["generation"] if checkpoint is not None else None,
         )
         _, cell_index = archive.delta_since({})
-        cell_state = {"index": cell_index}
-        seeds = [] if resume_state is not None else self._seed_traces(plan, scenario)
-        if stolen:
-            victim = checkpoint.get("worker", "?")
+        if checkpoint is not None:
             self._progress(
-                f"[{scenario_id}] stolen from {victim} at epoch {epoch}, "
-                f"resuming from generation {checkpoint['generation']}"
+                f"[{scenario_id}] stolen from {checkpoint.get('worker', '?')} at epoch "
+                f"{epoch}, resuming from generation {checkpoint['generation']}"
             )
 
         def on_checkpoint(state: Dict[str, Any]) -> None:
-            changed, cell_state["index"] = archive.delta_since(cell_state["index"])
-            self.journal.append(
-                "behavior_delta",
-                {
-                    "scenario_id": scenario_id,
-                    "generation": state["generation"],
-                    "cells": changed,
-                    "counters": archive.counters(),
-                    "lease_epoch": epoch,
-                    "worker": self.worker_id,
-                },
-            )
-            self.journal.append(
-                "generation_checkpoint",
-                {
-                    "scenario_id": scenario_id,
-                    "generation": state["generation"],
-                    "fuzzer": state,
-                    "cache": cache.dump(),
-                    "lease_epoch": epoch,
-                    "worker": self.worker_id,
-                },
+            nonlocal cell_index
+            cell_index = append_generation(
+                self.journal, scenario_id, state, archive, cell_index, cache, stamp
             )
             self._checkpoints_written += 1
             if (
@@ -334,35 +295,18 @@ class FleetWorker:
                 os.kill(os.getpid(), signal.SIGKILL)
             self.journal.renew_lease(lease)
 
-        fuzzer = CCFuzz(
-            cca_factory(scenario.cca),
-            config=scenario.fuzz_config(),
-            score_function=make_score_function(scenario.objective, scenario.mode),
-            seed_traces=seeds,
+        outcome = run_scenario_search(
+            scenario,
             backend=backend,
             cache=cache,
             archive=archive,
-        )
-        with telemetry.scenario_span(scenario):
-            result = fuzzer.run(
-                progress=lambda stats: telemetry.generation(scenario, stats),
-                checkpoint=on_checkpoint,
-                resume_from=resume_state,
-            )
-            new_entries = self._harvest(
-                scenario, result, view, plan, harvest_top_k, epoch, spec
-            )
-        outcome = ScenarioOutcome(
-            scenario=scenario,
-            best_fitness=result.best_fitness,
-            best_fingerprint=result.best_trace.fingerprint(),
-            evaluations=result.total_evaluations,
-            cache_hits=result.cache_hits,
-            seeds_injected=len(result.seed_fingerprints),
-            new_corpus_entries=new_entries,
-            converged_generation=result.converged_generation,
-            wall_time_s=time.perf_counter() - started,
-            behavior_cells=result.behavior_cells,
+            seeds=[] if checkpoint is not None else self._seed_traces(plan, scenario),
+            telemetry=telemetry,
+            checkpoint=on_checkpoint,
+            resume_from=checkpoint["fuzzer"] if checkpoint is not None else None,
+            harvest=lambda result: self._harvest(
+                scenario, result, view, plan, harvest_top_k, stamp, spec
+            ),
         )
         # Completion before release: once released, the scenario would be
         # claimable again, and a *later* claim's epoch would fence this
@@ -373,8 +317,7 @@ class FleetWorker:
                 "scenario_id": scenario_id,
                 "outcome": outcome.to_journal_dict(),
                 "archive": archive.to_dict(),
-                "lease_epoch": epoch,
-                "worker": self.worker_id,
+                **stamp,
             },
         )
         self.journal.release_lease(lease)
@@ -388,11 +331,11 @@ class FleetWorker:
     def _harvest(
         self,
         scenario: Scenario,
-        result: Any,
+        result: FuzzResult,
         view: JournalView,
         plan: Dict[str, Any],
         harvest_top_k: int,
-        epoch: int,
+        stamp: Dict[str, Any],
         spec: CampaignSpec,
     ) -> int:
         """Journal the scenario's top-k survivors as corpus-insert intents.
@@ -406,34 +349,16 @@ class FleetWorker:
         """
         scenario_id = scenario.scenario_id
         corpus_snapshot = set(plan.get("corpus", []))
-        prior_inserts = dict(view.inserts_by_scenario.get(scenario_id, {}))
+        prior_inserts = view.inserts_by_scenario.get(scenario_id, {})
         new_entries = 0
-        harvested: set = set()
-        for individual in result.top_individuals(harvest_top_k):
-            if not individual.is_evaluated:
-                continue
-            fingerprint = individual.trace.fingerprint()
-            if fingerprint in harvested:
-                continue
-            harvested.add(fingerprint)
+        for trace, fingerprint, provenance in harvest_candidates(
+            result, scenario, spec.name, harvest_top_k
+        ):
             prior = prior_inserts.get(fingerprint)
             if prior is not None:
                 new_entries += bool(prior["new"])
                 continue
             is_new = fingerprint not in corpus_snapshot
-            behavior = individual.result_summary.get("behavior_signature")
-            entry = {
-                "scenario_id": scenario_id,
-                "cca": scenario.cca,
-                "objective": scenario.objective,
-                "score": individual.fitness,
-                "generation_found": individual.generation_born,
-                "origin": "fuzz",
-                "campaign": spec.name,
-                "condition": scenario.condition.to_dict(),
-                "behavior": dict(behavior) if isinstance(behavior, dict) else None,
-                "trace": individual.trace.to_dict(),
-            }
             self.journal.append(
                 "corpus_insert",
                 {
@@ -441,9 +366,8 @@ class FleetWorker:
                     "fingerprint": fingerprint,
                     "new": is_new,
                     "rediscoveries_after": None,
-                    "entry": entry,
-                    "lease_epoch": epoch,
-                    "worker": self.worker_id,
+                    "entry": {**provenance, "trace": trace.to_dict()},
+                    **stamp,
                 },
             )
             new_entries += is_new
@@ -558,27 +482,14 @@ def run_fleet(
         )
         # Corpus repair + idempotent builtin re-registration, exactly like
         # CampaignRunner.resume: the corpus can only lag the journal.
-        for data in view.inserts:
-            runner._apply_insert_event(data)
-        runner._journaled_inserts = {
-            scenario_key: dict(by_fingerprint)
-            for scenario_key, by_fingerprint in view.inserts_by_scenario.items()
-        }
+        runner._replay_inserts(view)
         attacks_registered = (
             runner._register_builtin_attacks() if register_attacks else 0
         )
         start_payload = view.campaign
     else:
         journal.rotate()
-        start_payload = {
-            "campaign": spec.name,
-            "spec": spec.to_dict(),
-            "harvest_top_k": harvest_top_k,
-            "register_attacks": register_attacks,
-            "max_parallel": 1,
-            "archive_baseline": runner.archive.to_dict(),
-            "fleet": workers,
-        }
+        start_payload = {**runner._start_record(), "fleet": workers}
         journal.append("campaign_start", start_payload)
         attacks_registered = (
             runner._register_builtin_attacks() if register_attacks else 0

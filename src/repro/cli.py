@@ -57,7 +57,7 @@ from .coverage import (
     diff_archives,
     extract_signature,
 )
-from .exec.backend import create_backend
+from .exec.backend import BACKENDS, create_backend
 from .journal import CampaignJournal
 from .netsim.simulation import SimulationConfig, run_simulation
 from .obs import (
@@ -121,7 +121,7 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--top", type=int, default=5, help="how many best traces to report")
     parser.add_argument(
         "--backend",
-        choices=["serial", "thread", "process"],
+        choices=BACKENDS,
         default="serial",
         help="evaluation backend; 'process' gives real parallelism on multi-core machines",
     )
@@ -129,7 +129,7 @@ def fuzz_main(argv: Optional[List[str]] = None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="worker pool size for thread/process backends (default: one per CPU)",
+        help="worker pool size for the process backend (default: one per CPU)",
     )
     parser.add_argument(
         "--no-cache",
@@ -421,7 +421,7 @@ def _add_triage_options(parser: argparse.ArgumentParser) -> None:
                         help="skip the perturbation-matrix validation")
     parser.add_argument("--skip-differential", action="store_true",
                         help="skip the cross-CCA comparison")
-    parser.add_argument("--backend", choices=["serial", "thread", "process"], default="serial")
+    parser.add_argument("--backend", choices=BACKENDS, default="serial")
     parser.add_argument("--workers", type=int, default=None)
 
 
@@ -741,11 +741,11 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--port", type=int, default=8642,
                         help="port to bind (0 = pick a free port)")
     parser.add_argument(
-        "--backend", choices=["serial", "thread", "process"], default="serial",
+        "--backend", choices=BACKENDS, default="serial",
         help="evaluation backend for the replay endpoint",
     )
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker count for thread/process replay backends")
+                        help="worker count for the process replay backend")
     parser.add_argument(
         "--http-log", action="store_true",
         help="log each HTTP request to stderr",
@@ -824,6 +824,57 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
 # --------------------------------------------------------------------------- #
 
 
+def _campaign_flags() -> argparse.ArgumentParser:
+    """Parent parser for the flags ``run`` and ``workers`` share."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--corpus", type=str, required=True, help="corpus directory")
+    shared.add_argument(
+        "--job-timeout", type=float, default=None, metavar="SECONDS",
+        help="override the spec's per-evaluation wall-clock limit "
+             "(process backend kills and replaces the overdue worker)",
+    )
+    shared.add_argument(
+        "--max-retries", type=int, default=None,
+        help="override the spec's retry budget for evaluations whose pool "
+             "worker died",
+    )
+    shared.add_argument(
+        "--no-attacks", action="store_true",
+        help="do not register the builtin attack library as initial corpus entries",
+    )
+    shared.add_argument(
+        "--harvest-top-k", type=int, default=3,
+        help="how many top traces per scenario to store in the corpus",
+    )
+    shared.add_argument(
+        "--no-telemetry", action="store_true",
+        help="do not write metrics.jsonl / metrics.prom / run_manifest.json "
+             "into the corpus directory",
+    )
+    return shared
+
+
+def _check_campaign_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    if args.harvest_top_k < 1:
+        parser.error("--harvest-top-k must be at least 1")
+    if args.job_timeout is not None and not args.job_timeout > 0:
+        parser.error("--job-timeout must be positive")
+    if args.max_retries is not None and args.max_retries < 0:
+        parser.error("--max-retries must be non-negative")
+
+
+def _override_fault_policy(spec: CampaignSpec, args: argparse.Namespace) -> None:
+    if args.job_timeout is not None:
+        spec.job_timeout = args.job_timeout
+    if args.max_retries is not None:
+        spec.max_retries = args.max_retries
+
+
+def _load_campaign_spec(path: str) -> CampaignSpec:
+    with open(path, "r", encoding="utf-8") as handle:
+        return CampaignSpec.from_json(handle.read())
+
+
 def campaign_main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-campaign``."""
     parser = argparse.ArgumentParser(
@@ -835,49 +886,24 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = subparsers.add_parser("run", help="run a campaign spec and grow the corpus")
+    shared = _campaign_flags()
+    run_parser = subparsers.add_parser(
+        "run", parents=[shared], help="run a campaign spec and grow the corpus"
+    )
     run_parser.add_argument("--spec", type=str, default=None, help="campaign spec JSON file")
-    run_parser.add_argument("--corpus", type=str, required=True, help="corpus directory")
     run_parser.add_argument(
         "--resume", action="store_true",
         help="resume an interrupted campaign from the corpus journal "
              "(the spec is recovered from the journal; --spec is not allowed)",
     )
     run_parser.add_argument(
-        "--backend", choices=["serial", "thread", "process"], default=None,
+        "--backend", choices=BACKENDS, default=None,
         help="override the spec's evaluation backend",
     )
     run_parser.add_argument("--workers", type=int, default=None, help="override the spec's pool size")
     run_parser.add_argument(
-        "--job-timeout", type=float, default=None, metavar="SECONDS",
-        help="override the spec's per-evaluation wall-clock limit "
-             "(process backend kills and replaces the overdue worker)",
-    )
-    run_parser.add_argument(
-        "--max-retries", type=int, default=None,
-        help="override the spec's retry budget for evaluations whose pool "
-             "worker died",
-    )
-    run_parser.add_argument(
-        "--max-parallel", type=int, default=1,
-        help="scenarios run concurrently over the shared backend (1 = fully reproducible serial order)",
-    )
-    run_parser.add_argument(
-        "--no-attacks", action="store_true",
-        help="do not register the builtin attack library as initial corpus entries",
-    )
-    run_parser.add_argument(
-        "--harvest-top-k", type=int, default=3,
-        help="how many top traces per scenario to store in the corpus",
-    )
-    run_parser.add_argument(
         "--progress", action="store_true",
         help="render a live one-line progress status on stderr while the campaign runs",
-    )
-    run_parser.add_argument(
-        "--no-telemetry", action="store_true",
-        help="do not write metrics.jsonl / metrics.prom / run_manifest.json "
-             "into the corpus directory",
     )
 
     status_parser = subparsers.add_parser(
@@ -915,7 +941,7 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
     replay_parser.add_argument("--corpus", type=str, required=True)
     replay_parser.add_argument("--cca", choices=sorted(CCA_FACTORIES), required=True)
     replay_parser.add_argument("--mode", choices=["link", "traffic", "loss"], default=None)
-    replay_parser.add_argument("--backend", choices=["serial", "thread", "process"], default="serial")
+    replay_parser.add_argument("--backend", choices=BACKENDS, default="serial")
     replay_parser.add_argument("--workers", type=int, default=None)
     replay_parser.add_argument("--output", type=str, default=None, help="write the replay report as JSON")
 
@@ -946,39 +972,18 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
 
     workers_parser = subparsers.add_parser(
         "workers",
+        parents=[shared],
         help="run a campaign with a fleet of worker processes sharing one "
              "corpus (expired leases are stolen; digest matches a serial run)",
     )
     workers_parser.add_argument("--spec", type=str, required=True, help="campaign spec JSON file")
-    workers_parser.add_argument("--corpus", type=str, required=True, help="shared corpus directory")
     workers_parser.add_argument(
         "-n", "--workers", type=int, default=2,
         help="worker processes to spawn (0 = run everything inline in this process)",
     )
     workers_parser.add_argument(
-        "--job-timeout", type=float, default=None, metavar="SECONDS",
-        help="override the spec's per-evaluation wall-clock limit",
-    )
-    workers_parser.add_argument(
-        "--max-retries", type=int, default=None,
-        help="override the spec's retry budget for evaluations whose pool "
-             "worker died",
-    )
-    workers_parser.add_argument(
         "--poll", type=float, default=DEFAULT_POLL_S,
         help="seconds an idle worker waits between lease-claim attempts",
-    )
-    workers_parser.add_argument(
-        "--no-attacks", action="store_true",
-        help="do not register the builtin attack library as initial corpus entries",
-    )
-    workers_parser.add_argument(
-        "--harvest-top-k", type=int, default=3,
-        help="how many top traces per scenario to store in the corpus",
-    )
-    workers_parser.add_argument(
-        "--no-telemetry", action="store_true",
-        help="do not write metrics.jsonl / metrics.prom / run_manifest.json",
     )
     workers_parser.add_argument(
         "--kill-worker", type=int, default=None, help=argparse.SUPPRESS,
@@ -1004,16 +1009,9 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
     console = Console.from_args(args)
 
     if args.command == "run":
-        if args.max_parallel < 1:
-            parser.error("--max-parallel must be at least 1")
-        if args.harvest_top_k < 1:
-            parser.error("--harvest-top-k must be at least 1")
+        _check_campaign_flags(parser, args)
         if args.workers is not None and args.workers < 1:
             parser.error("--workers must be at least 1")
-        if args.job_timeout is not None and not args.job_timeout > 0:
-            parser.error("--job-timeout must be positive")
-        if args.max_retries is not None and args.max_retries < 0:
-            parser.error("--max-retries must be non-negative")
         if args.no_telemetry and args.progress:
             parser.error("--progress needs telemetry; drop --no-telemetry")
         if args.no_telemetry:
@@ -1028,44 +1026,26 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
                 parser.error("--resume recovers the spec from the journal; drop --spec")
             try:
                 runner = CampaignRunner.resume(
-                    args.corpus,
-                    max_parallel=args.max_parallel,
-                    progress=console.info,
-                    telemetry=telemetry,
+                    args.corpus, progress=console.info, telemetry=telemetry
                 )
             except ValueError as exc:
                 parser.error(str(exc))
-            if args.backend is not None:
-                runner.spec.backend = args.backend
-            if args.workers is not None:
-                runner.spec.workers = args.workers
-            if args.job_timeout is not None:
-                runner.spec.job_timeout = args.job_timeout
-            if args.max_retries is not None:
-                runner.spec.max_retries = args.max_retries
         else:
             if args.spec is None:
                 parser.error("one of --spec or --resume is required")
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                spec = CampaignSpec.from_json(handle.read())
-            if args.backend is not None:
-                spec.backend = args.backend
-            if args.workers is not None:
-                spec.workers = args.workers
-            if args.job_timeout is not None:
-                spec.job_timeout = args.job_timeout
-            if args.max_retries is not None:
-                spec.max_retries = args.max_retries
-            corpus = CorpusStore(args.corpus)
             runner = CampaignRunner(
-                spec,
-                corpus,
-                max_parallel=args.max_parallel,
+                _load_campaign_spec(args.spec),
+                CorpusStore(args.corpus),
                 register_attacks=not args.no_attacks,
                 harvest_top_k=args.harvest_top_k,
                 progress=console.info,
                 telemetry=telemetry,
             )
+        if args.backend is not None:
+            runner.spec.backend = args.backend
+        if args.workers is not None:
+            runner.spec.workers = args.workers
+        _override_fault_policy(runner.spec, args)
         result = runner.run()
         console.info()
         console.result(format_campaign_report(result))
@@ -1076,20 +1056,11 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
     if args.command == "workers":
         if args.workers < 0:
             parser.error("--workers must be >= 0")
-        if args.harvest_top_k < 1:
-            parser.error("--harvest-top-k must be at least 1")
+        _check_campaign_flags(parser, args)
         if (args.kill_worker is None) != (args.kill_after_checkpoints is None):
             parser.error("--kill-worker and --kill-after-checkpoints go together")
-        if args.job_timeout is not None and not args.job_timeout > 0:
-            parser.error("--job-timeout must be positive")
-        if args.max_retries is not None and args.max_retries < 0:
-            parser.error("--max-retries must be non-negative")
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            spec = CampaignSpec.from_json(handle.read())
-        if args.job_timeout is not None:
-            spec.job_timeout = args.job_timeout
-        if args.max_retries is not None:
-            spec.max_retries = args.max_retries
+        spec = _load_campaign_spec(args.spec)
+        _override_fault_policy(spec, args)
         result = run_fleet(
             spec,
             args.corpus,

@@ -15,8 +15,8 @@ Invariants (property-tested):
   modulo the visit counter), and
 * ``save``/``load`` round-trips the archive exactly.
 
-The archive is always lock-protected: campaign scenario threads share one
-archive, and the lock costs nothing next to a simulation.  Scores from
+The archive is always lock-protected so it can be read from any thread,
+and the lock costs nothing next to a simulation.  Scores from
 different objectives live on incomparable scales, so an elite is only
 displaced by a better score from the *same* objective (mirroring the corpus
 rediscovery rule).
@@ -157,7 +157,7 @@ class BehaviorArchive:
         archives reports the same coverage a shared archive would.
 
         ``baseline`` handles archives that were *seeded from a snapshot of
-        this archive* (the parallel campaign scheduler): only ``other``'s
+        this archive* (the fleet driver's per-scenario archives): only ``other``'s
         contribution beyond the baseline is folded in, so the inherited
         cells' visits are not double-counted once per scenario.
         """

@@ -80,9 +80,9 @@ class TraceCache:
     avoided simulation.
 
     ``thread_safe=True`` serialises every operation behind an ``RLock`` so
-    one cache can be shared by several fuzzing runs executing concurrently
-    (the campaign scheduler interleaves scenarios this way); the default
-    lock-free mode keeps single-run lookups overhead-free.
+    one cache can be shared across threads (the dashboard's replay service
+    serves from several HTTP threads); the default lock-free mode keeps
+    single-run lookups overhead-free.
     """
 
     def __init__(self, max_entries: Optional[int] = None, thread_safe: bool = False) -> None:

@@ -25,7 +25,7 @@ the parent that
   rather than hanging callers.
 
 The pool is lazily started, restartable after :meth:`close`, and safe to
-share between coordinator threads.  Workers evaluate through
+submit to from any thread.  Workers evaluate through
 :func:`~repro.exec.faults.guarded_evaluate`, receiving the chaos plan
 inside each job message, so a long-lived pool observes plan changes made
 after its workers forked.

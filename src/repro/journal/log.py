@@ -116,8 +116,7 @@ def _scan_bytes(raw: bytes) -> Tuple[List[JournalRecord], int, int]:
 class CampaignJournal:
     """Append-only JSONL event log for one campaign corpus.
 
-    Thread-safe for appends (parallel scenario workers share one journal),
-    and — via the sidecar file lock — process-safe too: a fleet of worker
+    Thread-safe for appends, and — via the sidecar file lock — process-safe too: a fleet of worker
     processes appends to one journal file without interleaving records.
     Reading (:meth:`records`, :meth:`replay`) re-scans the file, so a reader
     never needs the writer's in-memory state.

@@ -110,8 +110,8 @@ class MetricsRegistry:
     Metric names are dotted paths (``sim.events``, ``journal.append_s``);
     the Prometheus exporter rewrites the dots.  Counters are monotone adds,
     gauges are set/add levels, histograms aggregate observations.  All
-    operations are thread-safe: campaign coordinator threads and the journal
-    writer share the process-global instance.
+    operations are thread-safe: the process pool's dispatcher thread and the
+    dashboard's HTTP threads share the process-global instance.
     """
 
     def __init__(self) -> None:

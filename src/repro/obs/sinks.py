@@ -50,9 +50,11 @@ class MetricsJsonlSink:
     ) -> None:
         self.path = Path(directory) / METRICS_FILENAME
         self.interval_s = interval_s
-        self._last_snapshot = 0.0
-        # Parallel campaigns emit from several coordinator threads; the lock
-        # keeps each record on its own line.
+        # ``None`` until the first snapshot: ``time.monotonic()`` may be below
+        # ``interval_s`` on a freshly booted host, so no numeric start works.
+        self._last_snapshot: Optional[float] = None
+        # Emits may arrive from any thread; the lock keeps each record on
+        # its own line.
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "a", encoding="utf-8")
@@ -71,7 +73,8 @@ class MetricsJsonlSink:
     def maybe_snapshot(self, registry: MetricsRegistry, force: bool = False) -> bool:
         """Emit a ``metrics`` record if the interval elapsed (or forced)."""
         now = time.monotonic()
-        if not force and now - self._last_snapshot < self.interval_s:
+        last = self._last_snapshot
+        if not force and last is not None and now - last < self.interval_s:
             return False
         self._last_snapshot = now
         self.emit(

@@ -6,14 +6,8 @@ closed when the ``with`` block exits.  Each span records wall time plus the
 *registry counter delta* observed while it was open, attributing work
 (simulations run, events executed, cache hits) to the phase that did it.
 
-Attribution is exact for serial execution.  With a parallel campaign,
-overlapping scenario spans on different threads each see the global counter
-movement during their window; the per-span numbers then overlap rather than
-partition — fine for throughput/ETA purposes, and called out in the span
-record via the ``overlapped`` flag when siblings were concurrently open.
-
-Spans nest per-thread (a thread-local stack), so tracing the coordinator
-never confuses worker-thread scenario spans with each other.
+Spans nest per-thread (a thread-local stack), so a span opened on one
+thread never becomes the parent of a span opened on another.
 """
 
 from __future__ import annotations
@@ -25,7 +19,7 @@ from typing import Any, Callable, Dict, List, Optional
 from .metrics import MetricsRegistry, Snapshot, delta, get_registry
 
 #: Keys every finished-span record carries.
-SPAN_FIELDS = ("phase", "name", "wall_s", "depth", "overlapped", "counters")
+SPAN_FIELDS = ("phase", "name", "wall_s", "depth", "counters")
 
 
 class Span:
@@ -38,7 +32,6 @@ class Span:
         "_tracer",
         "_started",
         "_baseline",
-        "_overlapped",
         "record",
     )
 
@@ -56,7 +49,6 @@ class Span:
         self._tracer = tracer
         self._started = time.perf_counter()
         self._baseline = baseline
-        self._overlapped = False
         #: Populated on exit: the finished-span record (also handed to the
         #: tracer's on_close callback).
         self.record: Optional[Dict[str, Any]] = None
@@ -74,7 +66,6 @@ class Span:
             "name": self.name,
             "wall_s": time.perf_counter() - self._started,
             "depth": self.depth,
-            "overlapped": self._overlapped,
             "counters": moved["counters"],
         }
         return self.record
@@ -98,7 +89,6 @@ class PhaseTracer:
         self._on_close = on_close
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._open_by_phase: Dict[str, int] = {}
         self._totals: Dict[str, Dict[str, Any]] = {}
 
     def _stack(self) -> List[Span]:
@@ -115,11 +105,6 @@ class PhaseTracer:
         registry = self._registry_now()
         stack = self._stack()
         opened = Span(self, phase, name, len(stack), registry.snapshot())
-        with self._lock:
-            concurrent = self._open_by_phase.get(phase, 0)
-            self._open_by_phase[phase] = concurrent + 1
-            if concurrent:
-                opened._overlapped = True
         stack.append(opened)
         return opened
 
@@ -133,12 +118,6 @@ class PhaseTracer:
                 break
         record = span._finish(self._registry_now())
         with self._lock:
-            remaining = self._open_by_phase.get(span.phase, 1) - 1
-            if remaining:
-                self._open_by_phase[span.phase] = remaining
-                span.record["overlapped"] = record["overlapped"] = True
-            else:
-                self._open_by_phase.pop(span.phase, None)
             totals = self._totals.get(span.phase)
             if totals is None:
                 totals = self._totals[span.phase] = {

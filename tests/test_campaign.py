@@ -17,7 +17,11 @@ from repro.campaign import (
     read_campaign_report,
     replay_corpus,
 )
+from repro.campaign.worker import run_fleet
+from repro.cli import campaign_main
 from repro.core.fuzzer import CCFuzz, FuzzConfig
+from repro.coverage.archive import BehaviorArchive
+from repro.journal import CampaignJournal
 from repro.traces.trace import LinkTrace, LossTrace, TrafficTrace
 
 TINY_BUDGET = {"population_size": 4, "generations": 2, "duration": 1.0}
@@ -383,28 +387,58 @@ class TestCampaignRunner:
         ]
         assert sorted(corpus2.fingerprints()) == sorted(corpus.fingerprints())
 
-    def test_parallel_matches_with_snapshot_seeding(self, tmp_path):
-        # Parallel scheduling draws seeds from the launch snapshot, so two
-        # parallel runs of the same spec are identical to each other.  The
-        # thread backend makes the coordinator threads share one lazily
-        # created pool, exercising the backend's init lock.
-        results = []
-        for name in ("p1", "p2"):
-            corpus = CorpusStore(str(tmp_path / name))
-            results.append(
-                CampaignRunner(
-                    tiny_spec(backend="thread", workers=2), corpus, max_parallel=2
-                ).run()
-            )
-        assert [o.best_fitness for o in results[0].outcomes] == [
-            o.best_fitness for o in results[1].outcomes
-        ]
-
     def test_to_dict_is_json_serialisable(self, campaign):
         _, _, result = campaign
         payload = json.loads(json.dumps(result.to_dict()))
         assert payload["spec"]["name"] == "test"
         assert len(payload["scenarios"]) == 4
+
+
+def _threaded_campaign_journal(corpus_dir: str) -> None:
+    """A journal as the removed threaded scheduler (``max_parallel=2``) left it."""
+    journal = CampaignJournal(CampaignJournal.corpus_path(corpus_dir))
+    journal.append(
+        "campaign_start",
+        {
+            "campaign": "test",
+            "spec": tiny_spec().to_dict(),
+            "harvest_top_k": 3,
+            "register_attacks": False,
+            "max_parallel": 2,
+            "archive_baseline": BehaviorArchive().to_dict(),
+        },
+    )
+    journal.close()
+
+
+def _fleet_campaign_journal(corpus_dir: str) -> None:
+    spec = tiny_spec(
+        ccas=["reno"], conditions=[{"name": "base"}],
+        budget={"population_size": 2, "generations": 1, "duration": 0.5},
+    )
+    run_fleet(spec, corpus_dir, workers=0, register_attacks=False, telemetry=False)
+
+
+@pytest.mark.parametrize(
+    "write_journal", [_threaded_campaign_journal, _fleet_campaign_journal],
+    ids=["max-parallel", "fleet"],
+)
+class TestResumeRefusesParallelJournals:
+    """Serial resume cannot continue a journal parallel workers wrote."""
+
+    def test_runner_resume_raises(self, write_journal, tmp_path):
+        corpus_dir = str(tmp_path / "corpus")
+        write_journal(corpus_dir)
+        with pytest.raises(ValueError, match="repro-campaign workers"):
+            CampaignRunner.resume(corpus_dir, telemetry=False)
+
+    def test_cli_resume_is_a_parser_error(self, write_journal, tmp_path, capsys):
+        corpus_dir = str(tmp_path / "corpus")
+        write_journal(corpus_dir)
+        with pytest.raises(SystemExit) as excinfo:
+            campaign_main(["run", "--corpus", corpus_dir, "--resume", "--no-telemetry"])
+        assert excinfo.value.code == 2
+        assert "repro-campaign workers" in capsys.readouterr().err
 
 
 class TestCorpusSeededFuzzing:

@@ -21,6 +21,7 @@ import pytest
 
 from repro.attacks import cubic_two_burst_trace
 from repro.campaign import CampaignRunner, CampaignSpec, CorpusStore, GaBudget
+from repro.campaign.worker import run_fleet
 from repro.core.fuzzer import CCFuzz, FuzzConfig
 from repro.coverage import BehaviorArchive, make_guidance, signature_from_summary
 from repro.tcp.cca import cca_factory
@@ -184,32 +185,30 @@ class TestCampaignCoverage:
             entry.behavior["cell"] for entry in annotated
         }
 
-    def test_parallel_novelty_campaign_is_deterministic(self, tmp_path):
-        """Thread interleaving must not change coverage-guided results."""
+    def test_fleet_novelty_campaign_is_deterministic(self, tmp_path):
+        """Worker interleaving must not change coverage-guided results."""
+        spec = CampaignSpec(
+            name="fleet-coverage",
+            ccas=["reno", "cubic"],
+            modes=["traffic"],
+            objectives=["throughput"],
+            budget=GaBudget(population_size=4, generations=2, duration=1.0),
+            seed=5,
+            guidance="novelty",
+        )
 
-        def run(corpus_dir):
-            spec = CampaignSpec(
-                name="parallel-coverage",
-                ccas=["reno", "cubic"],
-                modes=["traffic"],
-                objectives=["throughput"],
-                budget=GaBudget(population_size=4, generations=2, duration=1.0),
-                seed=5,
-                guidance="novelty",
+        def run(corpus_dir, workers):
+            result = run_fleet(
+                spec, corpus_dir, workers=workers, register_attacks=False, telemetry=False
             )
-            runner = CampaignRunner(
-                spec, CorpusStore(corpus_dir), max_parallel=2, register_attacks=False
-            )
-            result = runner.run()
+            archive = BehaviorArchive.load(BehaviorArchive.corpus_path(corpus_dir))
             return (
                 [o.best_fingerprint for o in result.outcomes],
                 [o.behavior_cells for o in result.outcomes],
-                sorted(runner.archive.cell_keys()),
+                sorted(archive.cell_keys()),
             )
 
-        first = run(str(tmp_path / "a"))
-        second = run(str(tmp_path / "b"))
-        assert first == second
+        assert run(str(tmp_path / "a"), 2) == run(str(tmp_path / "b"), 0)
 
     def test_campaign_resumes_existing_map(self, campaign):
         corpus_dir, corpus, result = campaign

@@ -13,13 +13,13 @@ import pickle
 
 import pytest
 
+from repro.campaign import CampaignSpec
 from repro.core import CCFuzz, FuzzConfig
 from repro.exec import (
     BACKENDS,
     EvaluationJob,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadBackend,
     TraceCache,
     cca_identity,
     create_backend,
@@ -71,7 +71,7 @@ class TestBackendEquivalence:
             config = tiny_config(mode, backend=backend, workers=2)
             results[backend] = CCFuzz(Reno, config=config).run()
         serial = results["serial"]
-        for backend in ("thread", "process"):
+        for backend in BACKENDS:
             other = results[backend]
             assert history_signature(other) == history_signature(serial), backend
             assert other.best_fitness == serial.best_fitness
@@ -79,14 +79,14 @@ class TestBackendEquivalence:
             assert other.best_trace.fingerprint() == serial.best_trace.fingerprint()
 
     def test_injected_backend_is_used_and_not_closed(self):
-        backend = ThreadBackend(workers=2)
+        backend = ProcessPoolBackend(workers=2)
         fuzzer = CCFuzz(Reno, config=tiny_config("traffic"), backend=backend)
         fuzzer.run()
         # The run used the injected pool and must not shut down a
         # caller-owned backend.
-        assert backend._executor is not None
+        assert backend._pool_instance is not None
         backend.close()
-        assert backend._executor is None
+        assert backend._pool_instance is None
 
     def test_batch_results_preserve_input_order(self):
         generator = TrafficTraceGenerator(duration=1.0, max_packets=30, seed=3)
@@ -97,13 +97,11 @@ class TestBackendEquivalence:
             for trace in traces
         ]
         expected = [evaluate_job(job) for job in jobs]
-        with ThreadBackend(workers=3) as threaded:
-            assert threaded.evaluate_batch(jobs) == expected
         with ProcessPoolBackend(workers=2) as pooled:
             assert pooled.evaluate_batch(jobs) == expected
 
     def test_empty_batch(self):
-        for backend in (SerialBackend(), ThreadBackend(workers=1)):
+        for backend in (SerialBackend(), ProcessPoolBackend(workers=1)):
             with backend:
                 assert backend.evaluate_batch([]) == []
 
@@ -122,21 +120,22 @@ class TestBackendEquivalence:
 class TestCreateBackend:
     def test_names_map_to_classes(self):
         assert isinstance(create_backend("serial"), SerialBackend)
-        assert isinstance(create_backend("thread", workers=2), ThreadBackend)
         backend = create_backend("process", workers=2)
         assert isinstance(backend, ProcessPoolBackend)
         backend.close()
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            create_backend("quantum")
+        # "thread" names the removed thread backend.
+        for name in ("quantum", "thread"):
+            with pytest.raises(ValueError, match="backend"):
+                create_backend(name)
+            with pytest.raises(ValueError, match="backend"):
+                CampaignSpec(name="t", ccas=["reno"], backend=name)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_invalid_workers_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
-            create_backend("thread", workers=workers)
-        with pytest.raises(ValueError, match="workers"):
-            ThreadBackend(workers=workers)
+            create_backend("process", workers=workers)
         with pytest.raises(ValueError, match="workers"):
             ProcessPoolBackend(workers=workers)
 

@@ -198,6 +198,16 @@ class TestSinks:
         assert [r["type"] for r in records] == ["metrics", "metrics"]
         assert records[-1]["registry"]["counters"]["x"] == 1
 
+    def test_first_snapshot_passes_on_a_freshly_booted_host(self, tmp_path, monkeypatch):
+        # time.monotonic() counts from boot, so right after boot it is far
+        # below the interval; the first unforced snapshot must still land.
+        monkeypatch.setattr("repro.obs.sinks.time.monotonic", lambda: 1.0)
+        sink = MetricsJsonlSink(str(tmp_path), interval_s=3600)
+        assert sink.maybe_snapshot(MetricsRegistry())
+        assert not sink.maybe_snapshot(MetricsRegistry())
+        sink.close()
+        assert [r["type"] for r in read_metrics(tmp_path / METRICS_FILENAME)] == ["metrics"]
+
     def test_emit_after_close_is_a_noop(self, tmp_path):
         sink = MetricsJsonlSink(str(tmp_path))
         sink.emit("metrics", {})
